@@ -27,13 +27,34 @@ the general one.  Both flow through one scheduler with one contract:
 * progress (cached / start / ok / retry / failed / blocked, wall-time
   per run) is reported through a callback.
 
+**One job lifecycle, two callers.**  :class:`_Lifecycle` is the single
+definition of what happens to a run once it is ready to execute: the
+worker-id claim and release, the ready-task pick, the attempt (a
+subprocess, or in process under ``jobs=1`` and for live-only trace
+runs), reap (result message, silent worker death, timeout, cancel
+request), retry with :func:`retry_jitter`-seeded backoff, finalize
+(outcome, cache store, stats, progress, telemetry), and "terminate
+everything still running".  Two callers drive it and decide only what
+is theirs:
+
+* :meth:`SweepEngine.run` blocks on one closed job graph.  It admits
+  nodes (cache and analysis lookups, generator builds), wakes
+  dependents, blocks them when a predecessor fails or the engine shuts
+  down, orders launches by (−critical-path priority, node index), and
+  executes in process under ``jobs=1``.
+* :class:`EngineSession` stays open for independent specs submitted at
+  any time (the :mod:`repro.serve` broker runs on one).  It owns the
+  tickets, the lock and cancel requests, orders launches by
+  ``priority + aging_rate * age``, always executes in subprocesses,
+  never looks up the cache and reports no progress events.
+
 Trace runs (``spec.trace=True``) are live-only: the tracer cannot cross a
-process boundary or live in the JSON cache, so they always execute
-in-process and bypass the cache.  Profiled runs (``spec.profile=True``)
-are *not* live-only — the :class:`~repro.obs.ProfileReport` serializes
-with the result, so they flow through the pool and the cache like any
-other run (under their own fingerprint, since ``profile`` is part of the
-spec).
+process boundary or live in the JSON cache, so ``run()`` executes them
+in-process (worker ``-1``) and they never touch the cache.  Profiled
+runs (``spec.profile=True``) are *not* live-only — the
+:class:`~repro.obs.ProfileReport` serializes with the result, so they
+flow through the pool and the cache like any other run (under their own
+fingerprint, since ``profile`` is part of the spec).
 """
 
 from __future__ import annotations
@@ -273,10 +294,11 @@ class _Pending:
     __slots__ = ("index", "spec", "fingerprint", "label", "name",
                  "priority", "ready_at", "attempts", "not_before",
                  "started", "first_started", "deadline", "proc", "conn",
-                 "wall_time", "slots", "wids", "tenant")
+                 "wall_time", "slots", "wids", "tenant", "predicted",
+                 "canceled")
 
     def __init__(self, index, spec, fingerprint, label, name, priority,
-                 ready_at, slots=1, tenant=None):
+                 ready_at, tenant=None, predicted=None):
         self.index = index
         self.spec = spec
         self.fingerprint = fingerprint
@@ -294,14 +316,24 @@ class _Pending:
         self.wall_time = 0.0
         #: Pool slots this run occupies while it executes.  A partitioned
         #: run (``pdes_workers > 1``) spawns that many worker processes,
-        #: so the scheduler bin-packs it as that many jobs.
-        self.slots = slots
+        #: so the scheduler bin-packs it as that many jobs (set when the
+        #: task is queued).
+        self.slots = 1
         #: Worker ids claimed while executing (``wids[0]`` names the run's
         #: worker in outcomes and telemetry); ``None`` between attempts.
         self.wids = None
         #: Tenant attribution for serve-session telemetry (``None`` for
         #: plain sweeps).
         self.tenant = tenant
+        #: Predicted host seconds, echoed into telemetry (``None`` for
+        #: session jobs).
+        self.predicted = predicted
+        #: A session cancel landed while the run was executing.
+        self.canceled = False
+
+    @property
+    def node(self):
+        return self.name or self.label
 
     @property
     def wid(self):
@@ -455,8 +487,6 @@ class SweepEngine:
             return self._run_graph(graph)
         finally:
             self._restore_signal_handlers(previous)
-            if self.stats is not None:
-                self.stats.flush()
 
     def session(self, *, aging_rate=0.0) -> "EngineSession":
         """Open an :class:`EngineSession` for incremental job admission."""
@@ -534,23 +564,18 @@ class SweepEngine:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+
     # ------------------------------------------------------------------
     def _run_graph(self, graph) -> SweepReport:
         t0 = time.monotonic()
         total = len(graph)
         outcomes = [None] * total
-        results = {}        # index -> result payload for dependents
         fingerprints = {}   # index -> fingerprint for analysis hashing
         remaining = [len(p) for p in graph.preds]
         state = {"finished": 0}
         costs = self.predict_costs(graph)
         priority = graph.critical_path_priorities(costs)
-
-        launchable = []     # admitted _Pending tasks awaiting a slot
-        running = []
-        free_wids = list(range(self.jobs))  # pool slots, lowest-first
         tel = self.telemetry
-        tel_queue = None
         if tel is not None:
             predicted_makespan = None
             try:
@@ -563,22 +588,18 @@ class SweepEngine:
                 "engine_start", graph=graph.name, jobs=self.jobs,
                 total=total, predicted_makespan=predicted_makespan,
             )
-            if self.jobs > 1:
-                tel_queue = self._ctx.Queue()
         # Cache counters are cumulative per ResultCache instance; the
         # stop record reports this graph's delta so streams holding many
         # engine sessions stay summable.
         cache_hits0 = getattr(self.cache, "hits", 0) or 0
         cache_misses0 = getattr(self.cache, "misses", 0) or 0
 
-        def finish(outcome, payload):
+        def finish(outcome):
             """Record a terminal outcome and wake/block dependents."""
             index = outcome.index
             outcomes[index] = outcome
-            results[index] = payload
             state["finished"] += 1
             if outcome.ok:
-                self._record_stats(outcome)
                 for s in graph.succs[index]:
                     if outcomes[s] is not None:
                         continue
@@ -588,29 +609,63 @@ class SweepEngine:
             else:
                 cascade_block(index)
 
+        core = _Lifecycle(
+            self, finish, inline=self.jobs == 1, total=total,
+            progress=self.progress,
+        )
+
+        def block(index, error, blocker):
+            """Terminally block one node that never launched."""
+            node = graph.nodes[index]
+            outcome = RunOutcome(
+                index=index, spec=node.spec, fingerprint=None,
+                label=node.label, name=node.name, status="blocked",
+                error=error,
+            )
+            outcomes[index] = outcome
+            state["finished"] += 1
+            core.emit("blocked", outcome)
+            if tel is not None:
+                tel.emit("job_blocked", node=node.name, blocker=blocker)
+
         def cascade_block(index):
             """Terminally block every not-yet-finished transitive dependent."""
+            blocker = graph.nodes[index].name
+            error = (
+                f"blocked: predecessor {blocker!r} {outcomes[index].status}"
+            )
             stack = list(graph.succs[index])
             while stack:
                 s = stack.pop()
-                if outcomes[s] is not None:
-                    continue
-                node = graph.nodes[s]
-                blocker = graph.nodes[index].name
-                outcome = RunOutcome(
-                    index=s, spec=node.spec, fingerprint=None,
-                    label=node.label, name=node.name, status="blocked",
-                    error=(
-                        f"blocked: predecessor {blocker!r} "
-                        f"{outcomes[index].status}"
-                    ),
+                if outcomes[s] is None:
+                    block(s, error, blocker)
+                    stack.extend(graph.succs[s])
+
+        def cached(index, spec, fingerprint, kind):
+            """Finish a node from a cache entry of ``kind``; ``False`` on
+            a miss."""
+            entry = (
+                None if self.cache is None
+                else self.cache.get_entry(fingerprint)
+            )
+            if entry is None or entry.kind != kind:
+                return False
+            node = graph.nodes[index]
+            outcome = RunOutcome(
+                index=index, spec=spec, fingerprint=fingerprint,
+                label=node.label, name=node.name, status="cached",
+                result=entry.value,
+            )
+            core.emit("cached", outcome)
+            if tel is not None:
+                tel.emit("job_cached", node=node.name, run=fingerprint)
+            if spec is not None and self.stats is not None:
+                # The original run's duration rides in the envelope.
+                self.stats.record(
+                    spec_signature(spec), entry.wall_time, cached=True,
                 )
-                outcomes[s] = outcome
-                state["finished"] += 1
-                self._emit("blocked", outcome, total)
-                if tel is not None:
-                    tel.emit("job_blocked", node=node.name, blocker=blocker)
-                stack.extend(graph.succs[s])
+            finish(outcome)
+            return True
 
         def admit(index):
             """A node's predecessors are all done: resolve and enqueue it.
@@ -625,48 +680,35 @@ class SweepEngine:
             spec = node.spec
             if node.builder is not None:
                 deps = {
-                    graph.nodes[p].name: results[p]
+                    graph.nodes[p].name: outcomes[p].result
                     for p in graph.preds[index]
                 }
                 nfp = self._node_fingerprint(
                     node, [fingerprints[p] for p in graph.preds[index]]
                 )
-                if self.cache is not None:
-                    entry = self.cache.get_entry(nfp)
-                    if entry is not None and entry.kind == "analysis":
-                        fingerprints[index] = nfp
-                        outcome = RunOutcome(
-                            index=index, spec=None, fingerprint=nfp,
-                            label=node.label, name=node.name,
-                            status="cached", result=entry.value,
-                        )
-                        self._emit("cached", outcome, total)
-                        if tel is not None:
-                            tel.emit("job_cached", node=node.name, run=nfp)
-                        finish(outcome, entry.value)
-                        return
+                fingerprints[index] = nfp
+                if cached(index, None, nfp, "analysis"):
+                    return
                 try:
                     built = node.builder(dict(node.params or {}), deps)
                 except Exception:
-                    fingerprints[index] = nfp
                     outcome = RunOutcome(
                         index=index, spec=None, fingerprint=nfp,
                         label=node.label, name=node.name, status="failed",
                         error=traceback.format_exc(), attempts=1,
                         wall_time=time.monotonic() - ready_at,
                     )
-                    self._emit("failed", outcome, total)
+                    core.emit("failed", outcome)
                     if tel is not None:
                         tel.emit(
                             "job_failed", node=node.name, run=nfp,
                             attempts=1, error=outcome.error,
                         )
-                    finish(outcome, None)
+                    finish(outcome)
                     return
                 if not isinstance(built, RunSpec):
                     # Analysis node: the value *is* the result.
                     wall = time.monotonic() - ready_at
-                    fingerprints[index] = nfp
                     if self.cache is not None:
                         self.cache.put_value(
                             nfp,
@@ -686,230 +728,26 @@ class SweepEngine:
                         label=node.label, name=node.name, status="ok",
                         result=built, attempts=1, wall_time=wall,
                     )
-                    self._emit("ok", outcome, total)
+                    core.emit("ok", outcome)
                     if tel is not None:
                         tel.emit(
                             "job_done", node=node.name, run=nfp,
                             status="ok", attempts=1, wall_time=wall,
                         )
-                    finish(outcome, built)
+                    finish(outcome)
                     return
                 spec = built
             fingerprint = spec.fingerprint()
             fingerprints[index] = fingerprint
-            if spec.trace:
-                # Live-only: executes in the engine parent (worker -1).
-                outcome = self._run_inline(
-                    index, spec, fingerprint, node.label, cacheable=False,
-                    total=total, name=node.name, wid=-1,
-                    predicted=costs[index],
-                )
-                finish(outcome, outcome.result)
-                return
-            if self.cache is not None:
-                entry = self.cache.get_entry(fingerprint)
-                if entry is not None and entry.kind == "result":
-                    outcome = RunOutcome(
-                        index=index, spec=spec, fingerprint=fingerprint,
-                        label=node.label, name=node.name, status="cached",
-                        result=entry.value,
-                    )
-                    self._emit("cached", outcome, total)
-                    if tel is not None:
-                        tel.emit(
-                            "job_cached", node=node.name, run=fingerprint,
-                        )
-                    if self.stats is not None:
-                        self.stats.record(
-                            spec_signature(spec), entry.wall_time,
-                            cached=True,
-                        )
-                    finish(outcome, entry.value)
-                    return
-            slots = max(1, min(spec.pdes_workers or 1, self.jobs))
-            if tel is not None:
-                tel.emit(
-                    "job_queued", node=node.name, run=fingerprint,
-                    slots=slots, predicted=costs[index],
-                )
-            launchable.append(_Pending(
+            task = _Pending(
                 index, spec, fingerprint, node.label, node.name,
-                priority[index], ready_at, slots=slots,
-            ))
-
-        # Pool-side helpers ------------------------------------------------
-        def launch(task):
-            parent, child = self._ctx.Pipe(duplex=False)
-            # Claim pool slots: a partitioned run takes ``slots`` worker
-            # ids and is named by the lowest one.
-            task.wids = free_wids[:task.slots]
-            del free_wids[:task.slots]
-            runner = self.runner
-            if tel_queue is not None:
-                runner = _ChildTelemetryRunner(
-                    runner, tel_queue, task.name or task.label,
-                    task.fingerprint, task.wid,
-                )
-            # Partitioned runs (slots > 1) spawn their own PDES worker
-            # processes, which daemonic children may not do — those
-            # workers are daemons of the child, so they still die with
-            # it; plain runs keep the stronger daemon cleanup guarantee.
-            proc = self._ctx.Process(
-                target=_child_main,
-                args=(child, runner, task.spec.to_dict()),
-                daemon=task.slots == 1,
+                priority[index], ready_at, predicted=costs[index],
             )
-            task.attempts += 1
-            task.started = time.monotonic()
-            if task.first_started is None:
-                task.first_started = task.started
-            task.deadline = (
-                task.started + self.timeout if self.timeout else None
-            )
-            task.proc, task.conn = proc, parent
-            proc.start()
-            child.close()
-            running.append(task)
-            if tel is not None:
-                tel.emit(
-                    "job_launched", node=task.name or task.label,
-                    run=task.fingerprint, wid=task.wid, slots=task.slots,
-                    attempt=task.attempts,
-                )
-            if task.attempts == 1:
-                self._emit(
-                    "start",
-                    RunOutcome(
-                        index=task.index, spec=task.spec,
-                        fingerprint=task.fingerprint, label=task.label,
-                        name=task.name, status="running",
-                        attempts=task.attempts,
-                        wait_time=task.wait_time,
-                    ),
-                    total,
-                )
-
-        def release(task):
-            """Return a task's claimed worker ids to the free list."""
-            if task.wids:
-                free_wids.extend(task.wids)
-                free_wids.sort()
-            task.wids = None
-
-        def finalize(task, status, result=None, error=None,
-                     exec_time=None):
-            wid = task.wid
-            release(task)
-            outcome = RunOutcome(
-                index=task.index, spec=task.spec,
-                fingerprint=task.fingerprint, label=task.label,
-                name=task.name, status=status, result=result, error=error,
-                attempts=task.attempts, wall_time=task.wall_time,
-                wait_time=task.wait_time, exec_time=exec_time,
-                worker_id=wid, slots=task.slots,
-            )
-            self._emit("ok" if status == "ok" else "failed", outcome, total)
-            if tel is not None:
-                node = task.name or task.label
-                if status == "ok":
-                    tel.emit(
-                        "job_done", node=node, run=task.fingerprint,
-                        wid=wid, status=status, attempts=task.attempts,
-                        wall_time=task.wall_time, exec_time=exec_time,
-                        wait_time=task.wait_time,
-                        predicted=costs[task.index],
-                    )
-                else:
-                    tel.emit(
-                        "job_failed", node=node, run=task.fingerprint,
-                        wid=wid, attempts=task.attempts,
-                        wall_time=task.wall_time, error=error,
-                    )
-            finish(outcome, result)
-
-        def reap(task):
-            """Collect one finished/overdue subprocess attempt."""
-            msg = None
-            if task.conn.poll():
-                try:
-                    msg = task.conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-            elif task.proc.is_alive():
-                if task.deadline is not None and (
-                    time.monotonic() > task.deadline
-                ):
-                    task.proc.terminate()
-                    task.proc.join()
-                    self._close(task)
-                    return _requeue_or_fail(
-                        task, f"timed out after {self.timeout}s"
-                    )
-                return False  # still working
-            # Either a message arrived or the process died silently.
-            task.proc.join()
-            self._close(task)
-            attempt_time = time.monotonic() - task.started
-            task.wall_time += attempt_time
-            if msg is None:
-                return _requeue_or_fail(
-                    task,
-                    f"worker died (exit code {task.proc.exitcode})",
-                    charged=True,
-                )
-            kind, payload = msg
-            if kind == "ok":
-                result = RunResult.from_dict(payload)
-                self._store(
-                    task.spec, task.fingerprint, result,
-                    wall_time=attempt_time,
-                )
-                finalize(task, "ok", result=result, exec_time=attempt_time)
-            else:
-                # Deterministic Python exception: retrying cannot help.
-                finalize(task, "failed", error=payload)
-            return True
-
-        def _requeue_or_fail(task, reason, charged=False):
-            if not charged:
-                task.wall_time += time.monotonic() - task.started
-            if task.attempts > self.retries:
-                finalize(task, "failed", error=reason)
-            else:
-                release(task)
-                if tel is not None:
-                    tel.emit(
-                        "job_retry", node=task.name or task.label,
-                        run=task.fingerprint, attempt=task.attempts,
-                        reason=reason,
-                    )
-                # Exponential backoff with seeded jitter (up to +50%).
-                task.not_before = time.monotonic() + (
-                    self.backoff
-                    * (2 ** (task.attempts - 1))
-                    * (1.0 + 0.5 * retry_jitter(
-                        task.fingerprint, task.attempts
-                    ))
-                )
-                launchable.append(task)
-                self._emit(
-                    "retry",
-                    RunOutcome(
-                        index=task.index, spec=task.spec,
-                        fingerprint=task.fingerprint, label=task.label,
-                        name=task.name, status="retrying", error=reason,
-                        attempts=task.attempts, wall_time=task.wall_time,
-                    ),
-                    total,
-                )
-            return True
-
-        # Admit every root (in node order, so flat-sweep cache hits keep
-        # their historical event ordering); admission cascades through
-        # cached/analytic chains synchronously.
-        for index in range(total):
-            if remaining[index] == 0 and outcomes[index] is None:
-                admit(index)
+            if spec.trace:
+                core.run_here(task)
+                return
+            if not cached(index, spec, fingerprint, "result"):
+                core.queue(task)
 
         def drain_and_block():
             """Graceful shutdown: drain in-flight runs, block the rest.
@@ -922,113 +760,69 @@ class SweepEngine:
             distinct reason ``"engine shutdown"``.
             """
             deadline = time.monotonic() + max(0.0, self.drain_timeout or 0.0)
-            while running:
-                if tel_queue is not None:
-                    drain_queue(tel_queue, tel)
-                for task in list(running):
-                    if reap(task):
-                        running.remove(task)
-                if not running:
+            while core.running:
+                core.drain_telemetry()
+                core.reap()
+                if not core.running:
                     break
                 if time.monotonic() > deadline:
-                    for task in list(running):
-                        task.proc.terminate()
-                        task.proc.join()
-                        self._close(task)
-                        task.wall_time += time.monotonic() - task.started
-                        finalize(
-                            task, "failed",
-                            error=(
-                                "terminated: engine shutdown after "
-                                f"{self.drain_timeout}s drain"
-                            ),
-                        )
-                    running.clear()
+                    core.terminate_all(
+                        "failed",
+                        "terminated: engine shutdown after "
+                        f"{self.drain_timeout}s drain",
+                    )
                     break
                 time.sleep(0.01)
             # A run finishing during the drain may have admitted cached
             # or analytic successors (they completed synchronously) and
             # queued runnable ones — those, plus everything else not yet
             # terminal, block here.
-            launchable.clear()
+            core.launchable.clear()
             for i in range(total):
-                if outcomes[i] is not None:
-                    continue
-                node = graph.nodes[i]
-                outcome = RunOutcome(
-                    index=i, spec=node.spec, fingerprint=None,
-                    label=node.label, name=node.name, status="blocked",
-                    error="blocked: engine shutdown",
-                )
-                outcomes[i] = outcome
-                state["finished"] += 1
-                self._emit("blocked", outcome, total)
-                if tel is not None:
-                    tel.emit(
-                        "job_blocked", node=node.name, blocker="<shutdown>",
-                    )
+                if outcomes[i] is None:
+                    block(i, "blocked: engine shutdown", "<shutdown>")
 
-        # Main scheduling loop: launch critical-path-first, reap, repeat.
-        while state["finished"] < total:
-            if self._shutdown:
-                drain_and_block()
-                break
-            if tel_queue is not None:
-                drain_queue(tel_queue, tel)
-            now = time.monotonic()
-            launchable.sort(key=lambda t: (-t.priority, t.index))
-            # A partitioned run claims ``slots`` pool slots; narrower
-            # tasks may backfill around a wide one that does not fit yet
-            # (``not running`` guarantees progress for a task wider than
-            # what ever frees up).
-            used = sum(t.slots for t in running)
-            task = next(
-                (t for t in launchable
-                 if t.not_before <= now
-                 and (used + t.slots <= self.jobs or not running)),
-                None,
-            )
-            if task is not None:
-                launchable.remove(task)
-                if self.jobs == 1:
-                    task.first_started = time.monotonic()
-                    outcome = self._run_inline(
-                        task.index, task.spec, task.fingerprint,
-                        task.label, cacheable=True, total=total,
-                        name=task.name, wait_time=task.wait_time,
-                        wid=0, predicted=costs[task.index],
+        try:
+            # Admit every root (in node order, so flat-sweep cache hits
+            # keep their historical event ordering); admission cascades
+            # through cached/analytic chains synchronously.
+            for index in range(total):
+                if remaining[index] == 0 and outcomes[index] is None:
+                    admit(index)
+
+            # Main scheduling loop: launch critical-path-first, reap.
+            while state["finished"] < total:
+                if self._shutdown:
+                    drain_and_block()
+                    break
+                core.drain_telemetry()
+                now = time.monotonic()
+                task = core.pick(now, lambda t: (-t.priority, t.index))
+                if task is not None:
+                    core.start(task)
+                    continue  # keep launching while slots and work last
+                core.reap()
+                if state["finished"] >= total:
+                    break
+                if not core.running and not core.launchable:
+                    raise RuntimeError(
+                        f"job graph {graph.name!r}: no runnable work but "
+                        f"{total - state['finished']} node(s) unfinished"
                     )
-                    finish(outcome, outcome.result)
+                if not core.running:
+                    # Everything runnable is backing off; nap until the
+                    # soonest retry.
+                    soonest = min(t.not_before for t in core.launchable)
+                    time.sleep(max(0.0, min(0.05, soonest - now)))
                 else:
-                    launch(task)
-                continue  # keep launching while slots and ready work last
-            for task in list(running):
-                if reap(task):
-                    running.remove(task)
-            if state["finished"] >= total:
-                break
-            if not running and not launchable:
-                raise RuntimeError(
-                    f"job graph {graph.name!r}: no runnable work but "
-                    f"{total - state['finished']} node(s) unfinished"
-                )
-            if not running and launchable:
-                # Everything runnable is backing off; nap until the
-                # soonest retry.
-                soonest = min(t.not_before for t in launchable)
-                time.sleep(max(0.0, min(0.05, soonest - now)))
-            else:
-                time.sleep(0.005)
+                    time.sleep(0.005)
+        finally:
+            core.close()
 
         report = SweepReport(
             outcomes=outcomes, wall_time=time.monotonic() - t0
         )
         if tel is not None:
-            if tel_queue is not None:
-                # All children are joined: one last drain empties the
-                # queue, then the feeder thread can go.
-                drain_queue(tel_queue, tel)
-                tel_queue.close()
             cache = self.cache
             tel.emit(
                 "engine_stop", graph=graph.name,
@@ -1047,29 +841,329 @@ class SweepEngine:
             )
         return report
 
-    # ------------------------------------------------------------------
-    def _record_stats(self, outcome):
-        """Fold one executed run node into the duration history."""
-        if (
-            self.stats is None
-            or outcome.status != "ok"
-            or outcome.spec is None
-        ):
-            return
-        wall = (
-            outcome.exec_time
-            if outcome.exec_time is not None
-            else outcome.wall_time
-        )
-        self.stats.record(spec_signature(outcome.spec), wall)
 
-    def _emit(self, event, outcome, total, **extra):
+# ----------------------------------------------------------------------
+# The job lifecycle shared by SweepEngine.run and EngineSession
+# ----------------------------------------------------------------------
+class _Lifecycle:
+    """Everything that happens to a run between "ready" and "terminal".
+
+    The caller owns admission and ordering: it hands ready tasks to
+    :meth:`queue`, takes the next one under its own ordering key from
+    :meth:`pick`, passes it to :meth:`start`, and calls :meth:`reap`
+    until nothing is running.  Every terminal outcome goes to
+    ``on_done``, where the caller does its own bookkeeping (waking
+    dependents, resolving tickets).
+
+    ``inline=True`` (``run()`` with ``jobs=1``) executes attempts in this
+    process; otherwise each attempt is a subprocess, which a timeout or
+    a cancel request can terminate.  ``progress`` is the caller's
+    progress callback (``None``: no events); ``total`` rides in each
+    event.
+    """
+
+    def __init__(self, engine, on_done, *, inline=False, total=0,
+                 progress=None):
+        self.engine = engine
+        self.on_done = on_done
+        self.inline = inline
+        self.total = total
+        self.progress = progress
+        self.launchable = []    # ready or backing-off tasks awaiting a slot
+        self.running = []       # tasks with a live subprocess attempt
+        self.free_wids = list(range(engine.jobs))  # lowest-first
+        self.tel = engine.telemetry
+        # Pool children post their run_start/run_end spans here; the
+        # parent stays the single writer of the stream.
+        self.tel_queue = (
+            engine._ctx.Queue()
+            if self.tel is not None and not inline else None
+        )
+
+    # -- admission and launch -------------------------------------------
+    def queue(self, task):
+        """Admit a ready task; it waits in :attr:`launchable` for a slot."""
+        task.slots = max(1, min(task.spec.pdes_workers or 1,
+                                self.engine.jobs))
+        if self.tel is not None:
+            self.tel.emit(
+                "job_queued", node=task.node, run=task.fingerprint,
+                slots=task.slots, predicted=task.predicted,
+                tenant=task.tenant,
+            )
+        self.launchable.append(task)
+
+    def pick(self, now, key):
+        """Remove and return the first launchable task under ``key`` whose
+        backoff has expired and that fits the free slots, else ``None``.
+
+        A partitioned run claims ``slots`` pool slots; narrower tasks may
+        backfill around a wide one that does not fit yet (``not
+        running`` guarantees progress for a task wider than what ever
+        frees up).
+        """
+        self.launchable.sort(key=key)
+        used = sum(t.slots for t in self.running)
+        for task in self.launchable:
+            if task.not_before <= now and (
+                used + task.slots <= self.engine.jobs or not self.running
+            ):
+                self.launchable.remove(task)
+                return task
+        return None
+
+    def start(self, task):
+        """Claim ``task.slots`` worker ids and start the next attempt.
+
+        A partitioned run is named by the lowest id it claims.
+        """
+        task.wids = self.free_wids[:task.slots]
+        del self.free_wids[:task.slots]
+        if self.inline:
+            self.run_here(task)
+        else:
+            self._spawn(task)
+
+    def _begin(self, task):
+        task.attempts += 1
+        task.started = time.monotonic()
+        if task.first_started is None:
+            task.first_started = task.started
+        if self.tel is not None:
+            self.tel.emit(
+                "job_launched", node=task.node, run=task.fingerprint,
+                wid=task.wid, slots=task.slots, attempt=task.attempts,
+                predicted=task.predicted, tenant=task.tenant,
+            )
+
+    def _spawn(self, task):
+        engine = self.engine
+        parent, child = engine._ctx.Pipe(duplex=False)
+        runner = engine.runner
+        if self.tel_queue is not None:
+            runner = _ChildTelemetryRunner(
+                runner, self.tel_queue, task.node, task.fingerprint,
+                task.wid,
+            )
+        # Partitioned runs (slots > 1) spawn their own PDES worker
+        # processes, which daemonic children may not do — those
+        # workers are daemons of the child, so they still die with
+        # it; plain runs keep the stronger daemon cleanup guarantee.
+        task.proc = engine._ctx.Process(
+            target=_child_main,
+            args=(child, runner, task.spec.to_dict()),
+            daemon=task.slots == 1,
+        )
+        task.conn = parent
+        self._begin(task)
+        task.deadline = (
+            task.started + engine.timeout if engine.timeout else None
+        )
+        task.proc.start()
+        child.close()
+        self.running.append(task)
+        if task.attempts == 1:
+            self.emit("start", self._outcome(task, "running"))
+
+    def run_here(self, task):
+        """One attempt in this process; returns the terminal outcome.
+
+        Used by ``jobs=1`` pools and by live-only trace runs, which
+        execute as worker ``-1`` (the engine parent, not a pool slot).
+        An exception here is deterministic, so it is never retried.
+        """
+        if task.wids is None:
+            task.wids = [-1]
+        self._begin(task)
+        try:
+            result = run_simulation(task.spec)
+        except Exception:
+            task.wall_time += time.monotonic() - task.started
+            return self.finalize(
+                task, "failed", error=traceback.format_exc(),
+            )
+        elapsed = time.monotonic() - task.started
+        task.wall_time += elapsed
+        return self.finalize(task, "ok", result=result, exec_time=elapsed)
+
+    # -- reap, retry, finalize ----------------------------------------
+    def reap(self) -> list:
+        """Collect every finished, overdue or canceled subprocess attempt.
+
+        Returns the outcomes that became terminal (retried attempts go
+        back to :attr:`launchable` instead).
+        """
+        finished = []
+        for task in list(self.running):
+            outcome = self._reap(task)
+            if outcome is not None:
+                finished.append(outcome)
+        return finished
+
+    def _reap(self, task):
+        msg = reason = None
+        kill = False
+        if task.conn.poll():
+            try:
+                msg = task.conn.recv()
+            except (EOFError, OSError):
+                pass
+        elif task.proc.is_alive():
+            if task.deadline is not None and (
+                time.monotonic() > task.deadline
+            ):
+                reason = f"timed out after {self.engine.timeout}s"
+            elif not task.canceled:
+                return None  # still working
+            kill = True
+        # A message arrived, the process died silently, or it is killed.
+        elapsed = self._end_attempt(task, kill=kill)
+        if msg is not None:
+            kind, payload = msg
+            if kind == "ok":
+                # A completed result always wins, even over a pending
+                # cancel — exactly-once beats promptly-withdrawn.
+                return self.finalize(
+                    task, "ok", result=RunResult.from_dict(payload),
+                    exec_time=elapsed,
+                )
+            # Deterministic Python exception: retrying cannot help.
+            return self.finalize(task, "failed", error=payload)
+        if task.canceled:
+            return self.finalize(
+                task, "canceled", error="canceled while running",
+            )
+        return self._retry_or_fail(
+            task,
+            reason or f"worker died (exit code {task.proc.exitcode})",
+        )
+
+    def _end_attempt(self, task, kill=False):
+        """Join (optionally terminating first) the attempt's subprocess.
+
+        Charges the attempt to ``task.wall_time`` and returns its length.
+        """
+        if kill:
+            try:
+                task.proc.terminate()
+            except (OSError, ValueError):  # pragma: no cover - race
+                pass
+        task.proc.join()
+        try:
+            task.conn.close()
+        except OSError:
+            pass
+        self.running.remove(task)
+        elapsed = time.monotonic() - task.started
+        task.wall_time += elapsed
+        return elapsed
+
+    def _retry_or_fail(self, task, reason):
+        if task.attempts > self.engine.retries:
+            return self.finalize(task, "failed", error=reason)
+        self._release(task)
+        if self.tel is not None:
+            self.tel.emit(
+                "job_retry", node=task.node, run=task.fingerprint,
+                attempt=task.attempts, reason=reason, tenant=task.tenant,
+            )
+        # Exponential backoff with seeded jitter (up to +50%).
+        task.not_before = time.monotonic() + (
+            self.engine.backoff
+            * (2 ** (task.attempts - 1))
+            * (1.0 + 0.5 * retry_jitter(task.fingerprint, task.attempts))
+        )
+        self.launchable.append(task)
+        self.emit("retry", self._outcome(task, "retrying", error=reason))
+        return None
+
+    def finalize(self, task, status, result=None, error=None,
+                 exec_time=None):
+        """Make ``task`` terminal and hand its outcome to ``on_done``.
+
+        A successful run is stored to the cache (trace runs are
+        live-only and never are) and folded into the stats store.
+        """
+        outcome = self._outcome(
+            task, status, result=result, error=error, exec_time=exec_time,
+        )
+        self._release(task)
+        engine = self.engine
+        ok = status == "ok"
+        if ok and engine.cache is not None and not task.spec.trace:
+            engine.cache.put(
+                task.fingerprint, task.spec, result, wall_time=exec_time,
+            )
+        self.emit(status, outcome)
+        if self.tel is not None:
+            if status == "failed":
+                self.tel.emit(
+                    "job_failed", node=task.node, run=task.fingerprint,
+                    wid=outcome.worker_id, attempts=task.attempts,
+                    wall_time=task.wall_time, error=error,
+                    tenant=task.tenant,
+                )
+            else:
+                self.tel.emit(
+                    "job_done", node=task.node, run=task.fingerprint,
+                    wid=outcome.worker_id, status=status,
+                    attempts=task.attempts, wall_time=task.wall_time,
+                    exec_time=exec_time, wait_time=task.wait_time,
+                    predicted=task.predicted, tenant=task.tenant,
+                )
+        if ok and engine.stats is not None:
+            engine.stats.record(spec_signature(task.spec), exec_time)
+        self.on_done(outcome)
+        return outcome
+
+    def _release(self, task):
+        """Return a task's claimed worker ids to the free list."""
+        if task.wid is not None and task.wid >= 0:
+            self.free_wids.extend(task.wids)
+            self.free_wids.sort()
+        task.wids = None
+
+    def _outcome(self, task, status, **fields):
+        return RunOutcome(
+            index=task.index, spec=task.spec, fingerprint=task.fingerprint,
+            label=task.label, name=task.name, status=status,
+            attempts=task.attempts, wall_time=task.wall_time,
+            wait_time=task.wait_time, worker_id=task.wid, slots=task.slots,
+            **fields,
+        )
+
+    # -- shutdown and reporting ---------------------------------------
+    def terminate_all(self, status, error):
+        """Kill every running attempt; each finishes ``status``."""
+        for task in list(self.running):
+            self._end_attempt(task, kill=True)
+            self.finalize(task, status, error=error)
+
+    def drain_telemetry(self):
+        if self.tel_queue is not None:
+            drain_queue(self.tel_queue, self.tel)
+
+    def close(self):
+        """Flush the children's telemetry and persist the stats store.
+
+        Call once every child is joined: a last drain empties the
+        queue, then its feeder thread can go.
+        """
+        if self.tel_queue is not None:
+            drain_queue(self.tel_queue, self.tel)
+            self.tel_queue.close()
+            self.tel_queue = None
+        if self.engine.stats is not None:
+            self.engine.stats.flush()
+
+    def emit(self, event, outcome):
+        """Report one lifecycle event to the progress callback, if any."""
         if self.progress is None:
             return
-        payload = {
+        self.progress({
             "event": event,
             "index": outcome.index,
-            "total": total,
+            "total": self.total,
             "label": outcome.label,
             "name": outcome.name,
             "fingerprint": outcome.fingerprint,
@@ -1079,68 +1173,7 @@ class SweepEngine:
             "wait_time": outcome.wait_time,
             "worker_id": outcome.worker_id,
             "slots": outcome.slots,
-        }
-        payload.update(extra)
-        self.progress(payload)
-
-    def _store(self, spec, fingerprint, result, wall_time=None):
-        if self.cache is not None:
-            self.cache.put(fingerprint, spec, result, wall_time=wall_time)
-
-    # ------------------------------------------------------------------
-    def _run_inline(self, index, spec, fingerprint, label, cacheable,
-                    total=None, name=None, wait_time=0.0, wid=None,
-                    predicted=None):
-        tel = self.telemetry
-        node = name or label
-        if tel is not None:
-            tel.emit(
-                "job_launched", node=node, run=fingerprint, wid=wid,
-                slots=1, attempt=1, predicted=predicted,
-            )
-        start = time.monotonic()
-        try:
-            result = run_simulation(spec)
-        except Exception:
-            outcome = RunOutcome(
-                index=index, spec=spec, fingerprint=fingerprint,
-                label=label, name=name, status="failed",
-                error=traceback.format_exc(), attempts=1,
-                wall_time=time.monotonic() - start, wait_time=wait_time,
-                worker_id=wid,
-            )
-            self._emit("failed", outcome, total or 0)
-            if tel is not None:
-                tel.emit(
-                    "job_failed", node=node, run=fingerprint, wid=wid,
-                    attempts=1, wall_time=outcome.wall_time,
-                    error=outcome.error,
-                )
-            return outcome
-        wall = time.monotonic() - start
-        if cacheable:
-            self._store(spec, fingerprint, result, wall_time=wall)
-        outcome = RunOutcome(
-            index=index, spec=spec, fingerprint=fingerprint, label=label,
-            name=name, status="ok", result=result, attempts=1,
-            wall_time=wall, wait_time=wait_time, exec_time=wall,
-            worker_id=wid,
-        )
-        self._emit("ok", outcome, total or 0)
-        if tel is not None:
-            tel.emit(
-                "job_done", node=node, run=fingerprint, wid=wid,
-                status="ok", attempts=1, wall_time=wall, exec_time=wall,
-                wait_time=wait_time, predicted=predicted,
-            )
-        return outcome
-
-    @staticmethod
-    def _close(task):
-        try:
-            task.conn.close()
-        except OSError:
-            pass
+        })
 
 
 # ----------------------------------------------------------------------
@@ -1167,20 +1200,20 @@ class EngineSession:
     :meth:`drain`/:meth:`close` wind the session down.  The serving
     layer (:mod:`repro.serve`) runs its broker on one of these.
 
-    Two deliberate differences from ``run()``:
+    The session drives the same job lifecycle as ``run()`` (launch,
+    reap, retry with seeded backoff, finalize into the cache and the
+    stats store, terminate-on-close; see the module docstring) and
+    decides only what is its own:
 
-    * **Every run executes in a subprocess, even with ``jobs=1``** — a
-      poll must never block on a simulation, and a cancel needs a
-      process to terminate.
-    * **No cache lookups.**  The caller decides its own fast path (the
-      serve broker coalesces *before* the session ever sees a spec);
-      the session only executes, stores to the cache, and feeds the
-      stats store — exactly like a pool run inside ``run()``.
-
-    Ready work is ordered by ``priority + aging_rate * age`` (highest
-    first), so a weighted-fair caller can hand tenants different base
-    priorities without starving anyone: every queued job's effective
-    priority grows linearly with its queue age.
+    * **tickets and cancel requests**, under one lock;
+    * **ordering**: ready work launches by ``priority + aging_rate *
+      age`` (highest first), so a weighted-fair caller can hand tenants
+      different base priorities without starving anyone;
+    * **always a subprocess, even with ``jobs=1``** — a poll must never
+      block on a simulation, and a cancel needs a process to terminate;
+    * **no cache lookups** — the caller decides its own fast path (the
+      serve broker coalesces *before* the session ever sees a spec) —
+      and no progress events.
 
     Thread-safe: submit/cancel/poll may race from different threads.
     """
@@ -1189,19 +1222,14 @@ class EngineSession:
         self.engine = engine
         self.aging_rate = aging_rate
         self._lock = threading.RLock()
-        self._launchable = []     # _Pending awaiting a slot
-        self._running = []
+        self._core = _Lifecycle(engine, self._resolve)
         self._tickets = {}        # ticket -> live _Pending
         self._outcomes = {}       # ticket -> terminal RunOutcome
-        self._cancel_requested = set()
-        self._free_wids = list(range(engine.jobs))
         self._next_ticket = 0
         self._closed = False
         self._started_t = time.monotonic()
-        tel = engine.telemetry
-        self._tel_queue = engine._ctx.Queue() if tel is not None else None
-        if tel is not None:
-            tel.emit(
+        if engine.telemetry is not None:
+            engine.telemetry.emit(
                 "engine_start", graph="session", jobs=engine.jobs, total=0,
             )
 
@@ -1221,19 +1249,12 @@ class EngineSession:
             ticket = self._next_ticket
             self._next_ticket += 1
             name = name or f"job-{ticket}"
-            slots = max(1, min(spec.pdes_workers or 1, self.engine.jobs))
             task = _Pending(
                 ticket, spec, fingerprint, name, name, priority,
-                time.monotonic(), slots=slots, tenant=tenant,
+                time.monotonic(), tenant=tenant,
             )
             self._tickets[ticket] = task
-            self._launchable.append(task)
-            tel = self.engine.telemetry
-            if tel is not None:
-                tel.emit(
-                    "job_queued", node=name, run=fingerprint, slots=slots,
-                    tenant=tenant,
-                )
+            self._core.queue(task)
             return ticket
 
     def outcome(self, ticket):
@@ -1251,7 +1272,7 @@ class EngineSession:
     def busy_slots(self) -> int:
         """Worker slots currently claimed by running jobs."""
         with self._lock:
-            return sum(t.slots for t in self._running)
+            return sum(t.slots for t in self._core.running)
 
     # ------------------------------------------------------------------
     def cancel(self, ticket) -> bool:
@@ -1266,17 +1287,17 @@ class EngineSession:
             task = self._tickets.get(ticket)
             if task is None:
                 return False
-            if task in self._launchable:
-                self._launchable.remove(task)
-                self._finalize(task, "canceled",
-                               error="canceled while queued")
+            if task in self._core.launchable:
+                self._core.launchable.remove(task)
+                self._core.finalize(task, "canceled",
+                                    error="canceled while queued")
                 return True
-            self._cancel_requested.add(ticket)
-            if task.proc is not None:
-                try:
-                    task.proc.terminate()
-                except (OSError, ValueError):  # pragma: no cover - race
-                    pass
+            # The next reap terminates it (again) and finalizes.
+            task.canceled = True
+            try:
+                task.proc.terminate()
+            except (OSError, ValueError):  # pragma: no cover - race
+                pass
             return True
 
     # ------------------------------------------------------------------
@@ -1284,37 +1305,22 @@ class EngineSession:
         """Advance the session one step; never blocks on a run."""
         step = SessionStep()
         with self._lock:
-            tel = self.engine.telemetry
-            if self._tel_queue is not None and tel is not None:
-                drain_queue(self._tel_queue, tel)
+            core = self._core
+            core.drain_telemetry()
             now = time.monotonic()
-            self._launchable.sort(
-                key=lambda t: (
-                    -(t.priority + self.aging_rate * (now - t.ready_at)),
-                    t.index,
-                )
-            )
+
+            def aged(task):
+                age = now - task.ready_at
+                return (-(task.priority + self.aging_rate * age), task.index)
+
             while True:
-                used = sum(t.slots for t in self._running)
-                task = next(
-                    (t for t in self._launchable
-                     if t.not_before <= now
-                     and (used + t.slots <= self.engine.jobs
-                          or not self._running)),
-                    None,
-                )
+                task = core.pick(now, aged)
                 if task is None:
                     break
-                self._launchable.remove(task)
-                self._launch(task)
+                core.start(task)
                 if task.attempts == 1:
                     step.started.append(task.index)
-            for task in list(self._running):
-                outcome = self._reap(task)
-                if outcome is not None or task.proc is None:
-                    self._running.remove(task)
-                    if outcome is not None:
-                        step.finished.append((task.index, outcome))
+            step.finished = [(o.index, o) for o in core.reap()]
         return step
 
     def drain(self, timeout=None) -> bool:
@@ -1337,39 +1343,26 @@ class EngineSession:
         """Terminate everything still live; the session ends canceled.
 
         Queued jobs finish ``canceled`` immediately; running processes
-        are terminated and finish ``canceled`` too.  Idempotent.
+        are terminated and finish ``canceled`` too.  Durations recorded
+        during the session are persisted, as at the end of ``run()``.
+        Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for task in list(self._launchable):
-                self._launchable.remove(task)
-                self._finalize(task, "canceled",
-                               error="canceled: session closed")
-            for task in list(self._running):
-                self._cancel_requested.add(task.index)
-                try:
-                    task.proc.terminate()
-                except (OSError, ValueError):  # pragma: no cover - race
-                    pass
-                task.proc.join()
-                SweepEngine._close(task)
-                task.wall_time += time.monotonic() - task.started
-                self._running.remove(task)
-                self._finalize(task, "canceled",
-                               error="canceled: session closed")
+            core = self._core
+            error = "canceled: session closed"
+            for task in list(core.launchable):
+                core.launchable.remove(task)
+                core.finalize(task, "canceled", error=error)
+            core.terminate_all("canceled", error)
+            core.close()
             tel = self.engine.telemetry
-            if self._tel_queue is not None and tel is not None:
-                drain_queue(self._tel_queue, tel)
-                self._tel_queue.close()
-                self._tel_queue = None
             if tel is not None:
                 counts = {"ok": 0, "failed": 0, "canceled": 0}
                 for outcome in self._outcomes.values():
-                    counts[outcome.status] = (
-                        counts.get(outcome.status, 0) + 1
-                    )
+                    counts[outcome.status] += 1
                 tel.emit(
                     "engine_stop", graph="session",
                     makespan=time.monotonic() - self._started_t,
@@ -1385,153 +1378,7 @@ class EngineSession:
         self.close()
 
     # ------------------------------------------------------------------
-    def _launch(self, task):
-        engine = self.engine
-        parent, child = engine._ctx.Pipe(duplex=False)
-        task.wids = self._free_wids[:task.slots]
-        del self._free_wids[:task.slots]
-        runner = engine.runner
-        if self._tel_queue is not None:
-            runner = _ChildTelemetryRunner(
-                runner, self._tel_queue, task.name, task.fingerprint,
-                task.wid,
-            )
-        proc = engine._ctx.Process(
-            target=_child_main,
-            args=(child, runner, task.spec.to_dict()),
-            daemon=task.slots == 1,
-        )
-        task.attempts += 1
-        task.started = time.monotonic()
-        if task.first_started is None:
-            task.first_started = task.started
-        task.deadline = (
-            task.started + engine.timeout if engine.timeout else None
-        )
-        task.proc, task.conn = proc, parent
-        proc.start()
-        child.close()
-        self._running.append(task)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.emit(
-                "job_launched", node=task.name, run=task.fingerprint,
-                wid=task.wid, slots=task.slots, attempt=task.attempts,
-                tenant=task.tenant,
-            )
-
-    def _reap(self, task):
-        """One reap step; returns the terminal outcome or ``None``."""
-        engine = self.engine
-        msg = None
-        if task.conn.poll():
-            try:
-                msg = task.conn.recv()
-            except (EOFError, OSError):
-                msg = None
-        elif task.proc.is_alive():
-            canceled = task.index in self._cancel_requested
-            overdue = task.deadline is not None and (
-                time.monotonic() > task.deadline
-            )
-            if not canceled and not overdue:
-                return None
-            task.proc.terminate()
-            task.proc.join()
-            SweepEngine._close(task)
-            task.wall_time += time.monotonic() - task.started
-            if canceled:
-                return self._finalize(
-                    task, "canceled", error="canceled while running",
-                )
-            return self._retry_or_fail(
-                task, f"timed out after {engine.timeout}s",
-            )
-        task.proc.join()
-        SweepEngine._close(task)
-        attempt_time = time.monotonic() - task.started
-        task.wall_time += attempt_time
-        if msg is None:
-            if task.index in self._cancel_requested:
-                return self._finalize(
-                    task, "canceled", error="canceled while running",
-                )
-            return self._retry_or_fail(
-                task, f"worker died (exit code {task.proc.exitcode})",
-            )
-        kind, payload = msg
-        if kind == "ok":
-            # A completed result always wins, even over a pending
-            # cancel — exactly-once beats promptly-withdrawn.
-            result = RunResult.from_dict(payload)
-            engine._store(
-                task.spec, task.fingerprint, result,
-                wall_time=attempt_time,
-            )
-            if engine.stats is not None:
-                engine.stats.record(
-                    spec_signature(task.spec), attempt_time,
-                )
-            return self._finalize(
-                task, "ok", result=result, exec_time=attempt_time,
-            )
-        return self._finalize(task, "failed", error=payload)
-
-    def _retry_or_fail(self, task, reason):
-        engine = self.engine
-        if task.attempts > engine.retries:
-            return self._finalize(task, "failed", error=reason)
-        if task.wids:
-            self._free_wids.extend(task.wids)
-            self._free_wids.sort()
-        task.wids = None
-        task.proc = task.conn = None
-        task.not_before = time.monotonic() + (
-            engine.backoff
-            * (2 ** (task.attempts - 1))
-            * (1.0 + 0.5 * retry_jitter(task.fingerprint, task.attempts))
-        )
-        self._launchable.append(task)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.emit(
-                "job_retry", node=task.name, run=task.fingerprint,
-                attempt=task.attempts, reason=reason, tenant=task.tenant,
-            )
-        return None
-
-    def _finalize(self, task, status, result=None, error=None,
-                  exec_time=None):
-        wid = task.wid
-        if task.wids:
-            self._free_wids.extend(task.wids)
-            self._free_wids.sort()
-        task.wids = None
-        outcome = RunOutcome(
-            index=task.index, spec=task.spec,
-            fingerprint=task.fingerprint, label=task.label,
-            name=task.name, status=status, result=result, error=error,
-            attempts=task.attempts, wall_time=task.wall_time,
-            wait_time=task.wait_time, exec_time=exec_time,
-            worker_id=wid, slots=task.slots,
-        )
-        self._outcomes[task.index] = outcome
-        self._tickets.pop(task.index, None)
-        self._cancel_requested.discard(task.index)
-        tel = self.engine.telemetry
-        if tel is not None:
-            if status == "failed":
-                tel.emit(
-                    "job_failed", node=task.name, run=task.fingerprint,
-                    wid=wid, attempts=task.attempts,
-                    wall_time=task.wall_time, error=error,
-                    tenant=task.tenant,
-                )
-            else:
-                tel.emit(
-                    "job_done", node=task.name, run=task.fingerprint,
-                    wid=wid, status=status, attempts=task.attempts,
-                    wall_time=task.wall_time, exec_time=exec_time,
-                    wait_time=task.wait_time, tenant=task.tenant,
-                )
-        return outcome
+    def _resolve(self, outcome):
+        """Lifecycle callback: a ticket reached its terminal outcome."""
+        self._outcomes[outcome.index] = outcome
+        self._tickets.pop(outcome.index, None)

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from repro import AmrConfig, RunSpec, sphere
-from repro.exec import EngineSession, ResultCache, SweepEngine, run_spec_dict
+from repro.exec import (
+    EngineSession,
+    ResultCache,
+    RunStatsStore,
+    SweepEngine,
+    run_spec_dict,
+)
+from repro.exec.stats import spec_signature
 from repro.obs.telemetry import TelemetryBus, read_records, validate_file
 
 
@@ -166,6 +173,20 @@ def test_session_close_cancels_and_emits_stream(tmp_path, monkeypatch):
     # Tenant attribution rides on the session's job records.
     queued = [r for r in records if r["type"] == "job_queued"]
     assert {r.get("tenant") for r in queued} == {"alice", "bob"}
+
+
+def test_session_close_persists_run_durations(tmp_path):
+    """Durations recorded through a session reach the stats file on
+    close, exactly as run() flushes them when it returns."""
+    path = tmp_path / "stats.json"
+    engine = SweepEngine(jobs=1, stats=RunStatsStore(path))
+    spec = small_spec()
+    with engine.session() as session:
+        session.submit(spec)
+        assert session.drain(timeout=60)
+    assert path.exists()
+    reloaded = RunStatsStore(path)
+    assert reloaded.predict(spec_signature(spec)) > 0
 
 
 # ----------------------------------------------------------------------

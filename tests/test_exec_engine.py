@@ -13,6 +13,7 @@ from repro.exec import (
     Sweep,
     SweepEngine,
     SweepError,
+    SweepReport,
     run_spec_dict,
 )
 
@@ -123,26 +124,49 @@ def test_trace_specs_bypass_the_cache(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Fault isolation
+# Fault isolation (both entry points drive the same job lifecycle)
 # ----------------------------------------------------------------------
-def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch):
+def _via_run(engine, specs):
+    return engine.run(specs)
+
+
+def _via_session(engine, specs):
+    labels = Sweep(specs)
+    with engine.session() as session:
+        tickets = [
+            session.submit(spec, name=labels.label(i))
+            for i, spec in enumerate(specs)
+        ]
+        assert session.drain(timeout=120)
+        return SweepReport(outcomes=[session.outcome(t) for t in tickets])
+
+
+ENTRY_POINTS = pytest.mark.parametrize(
+    "execute", [_via_run, _via_session], ids=["run", "session"],
+)
+
+
+@ENTRY_POINTS
+def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch,
+                                               execute):
     monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
     spec = small_sweep()[2]
     engine = SweepEngine(jobs=2, retries=2, backoff=0.01,
                          mp_context="fork",
                          runner=_crash_until_third_attempt)
-    report = engine.run([spec])
+    report = execute(engine, [spec])
     outcome = report.outcomes[0]
     assert outcome.status == "ok"
     assert outcome.attempts == 3
     assert outcome.result == SweepEngine(jobs=1).run([spec]).results[0]
 
 
-def test_worker_crash_fails_only_that_run():
+@ENTRY_POINTS
+def test_worker_crash_fails_only_that_run(execute):
     specs = small_sweep()
     engine = SweepEngine(jobs=2, retries=1, backoff=0.01,
                          mp_context="fork", runner=_crash_fork_join_only)
-    report = engine.run(specs)
+    report = execute(engine, specs)
     by_variant = {o.spec.variant: o for o in report.outcomes}
     assert by_variant["fork_join"].status == "failed"
     assert by_variant["fork_join"].attempts == 2  # initial + 1 retry
@@ -154,21 +178,23 @@ def test_worker_crash_fails_only_that_run():
         report.raise_failures()
 
 
-def test_timeout_kills_and_fails_the_run():
+@ENTRY_POINTS
+def test_timeout_kills_and_fails_the_run(execute):
     spec = small_sweep()[0]
     engine = SweepEngine(jobs=2, timeout=0.25, retries=0,
                          mp_context="fork", runner=_hang_forever)
-    report = engine.run([spec])
+    report = execute(engine, [spec])
     outcome = report.outcomes[0]
     assert outcome.status == "failed"
     assert "timed out" in outcome.error
 
 
-def test_deterministic_exception_is_not_retried():
+@ENTRY_POINTS
+def test_deterministic_exception_is_not_retried(execute):
     spec = small_sweep()[0]
     engine = SweepEngine(jobs=2, retries=5, backoff=0.01,
                          mp_context="fork", runner=_raise_value_error)
-    report = engine.run([spec])
+    report = execute(engine, [spec])
     outcome = report.outcomes[0]
     assert outcome.status == "failed"
     assert outcome.attempts == 1
